@@ -10,23 +10,22 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tile"
 )
 
-// ingestBenchFile records the on-demand ingest comparison (committed
-// next to EXPERIMENTS.md as the loading baseline).
+// ingestBenchFile records the structural-tape ingest throughput per
+// format (committed next to EXPERIMENTS.md as the loading baseline).
 const ingestBenchFile = "BENCH_ingest.json"
 
-// ingestPoint is one (format, ingest mode) load measurement.
+// ingestPoint is one format's load measurement.
 type ingestPoint struct {
-	Format string `json:"format"`
-	// Mode is "tape" (structural-tape ingest, DESIGN.md §6.8) or
-	// "tree" (boxed jsonvalue ingest, LoaderConfig.TreeIngest).
-	Mode       string  `json:"mode"`
+	Format     string  `json:"format"`
 	Secs       float64 `json:"secs"`
 	DocsPerSec float64 `json:"docs_per_sec"`
+	// Spread across the repeats: the slowest and fastest load.
+	MinDocsPerSec float64 `json:"min_docs_per_sec"`
+	MaxDocsPerSec float64 `json:"max_docs_per_sec"`
 	// Phase breakdown in seconds (Tiles only; zero elsewhere): the
 	// paper's Figure-16 phases.
 	Parse   float64 `json:"parse_secs,omitempty"`
@@ -36,7 +35,6 @@ type ingestPoint struct {
 	Reorder float64 `json:"reorder_secs,omitempty"`
 	// Ingest-path accounting for this load (Tiles only).
 	DocsTape        int64 `json:"docs_tape"`
-	DocsTree        int64 `json:"docs_tree"`
 	SubtreesSkipped int64 `json:"subtrees_skipped"`
 }
 
@@ -45,86 +43,75 @@ type ingestReport struct {
 	Docs     int           `json:"docs"`
 	NumCPU   int           `json:"numcpu"`
 	Workers  int           `json:"workers"`
+	Repeats  int           `json:"repeats"`
 	Points   []ingestPoint `json:"points"`
-	// Speedup maps format → tape docs/sec over tree docs/sec (>1
-	// means the tape path loads faster).
-	Speedup map[string]float64 `json:"speedup"`
-	// TreeFallbackDocs is the process-wide ingest_docs_tree_fallback
-	// delta over the tape-mode loads: 0 on these homogeneous inputs.
-	TreeFallbackDocs int64 `json:"tree_fallback_docs"`
 }
 
-// ingestLoad performs one load and returns the median wall time plus
-// the per-phase metrics of the last repetition.
-func (c *Context) ingestLoad(kind storage.FormatKind, lines [][]byte, treeIngest bool) (time.Duration, tile.MetricsSnapshot) {
+// ingestLoad loads lines Repeats times and returns the sorted wall
+// times plus the per-phase metrics of the last repetition. It fails
+// when the relation's row count differs from the documents loaded.
+func (c *Context) ingestLoad(kind storage.FormatKind, lines [][]byte) ([]time.Duration, tile.MetricsSnapshot, error) {
 	var snap tile.MetricsSnapshot
 	times := make([]time.Duration, 0, c.Opts.Repeats)
 	for i := 0; i < c.Opts.Repeats; i++ {
 		m := &tile.Metrics{}
 		cfg := storage.DefaultLoaderConfig()
 		cfg.Metrics = m
-		cfg.TreeIngest = treeIngest
 		l, err := storage.NewLoader(kind, cfg)
 		if err != nil {
-			panic(err)
+			return nil, snap, err
 		}
 		start := time.Now()
-		if _, err := l.Load("ingest", lines, c.Opts.workers()); err != nil {
-			panic(err)
+		rel, err := l.Load("ingest", lines, c.Opts.workers())
+		if err != nil {
+			return nil, snap, err
 		}
 		times = append(times, time.Since(start))
+		if rel.NumRows() != len(lines) {
+			return nil, snap, fmt.Errorf("%s load holds %d rows, want %d", kind, rel.NumRows(), len(lines))
+		}
 		snap = m.Snapshot()
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], snap
+	return times, snap, nil
 }
 
-// ingestExp — tape vs tree ingest across every storage format,
-// recording BENCH_ingest.json. The structural-tape path (§6.8) parses
-// each document once into a tape and feeds extraction and JSONB
-// encoding directly from it; the tree path materializes boxed
-// jsonvalue documents first (the pre-tape implementation, kept as
-// LoaderConfig.TreeIngest).
+// ingestExp — structural-tape ingest (DESIGN.md §6.8) across every
+// storage format, recording BENCH_ingest.json: each document is parsed
+// once into a tape that feeds extraction and JSONB encoding directly.
 func ingestExp(w io.Writer, c *Context) error {
 	lines := c.tpchShuffled()
 	report := ingestReport{
 		Workload: "tpch-shuffled", Docs: len(lines),
-		NumCPU: runtime.NumCPU(), Workers: c.Opts.workers(),
-		Speedup: map[string]float64{},
+		NumCPU: runtime.NumCPU(), Workers: c.Opts.workers(), Repeats: c.Opts.Repeats,
 	}
+	docsPerSec := func(d time.Duration) float64 { return float64(len(lines)) / maxf(d.Seconds(), 1e-9) }
 
-	t := &table{header: []string{"format", "tree s", "tape s", "tree docs/s", "tape docs/s", "speedup"}}
-	var tapeFallback int64
+	t := &table{header: []string{"format", "s", "docs/s", "min docs/s", "max docs/s"}}
 	for _, kind := range allFormats {
-		treeD, treeSnap := c.ingestLoad(kind, lines, true)
-		fb := obs.IngestDocsTreeFallback.Load()
-		tapeD, tapeSnap := c.ingestLoad(kind, lines, false)
-		tapeFallback += obs.IngestDocsTreeFallback.Load() - fb
-
-		mk := func(mode string, d time.Duration, s tile.MetricsSnapshot) ingestPoint {
-			return ingestPoint{
-				Format: string(kind), Mode: mode,
-				Secs:       d.Seconds(),
-				DocsPerSec: float64(len(lines)) / maxf(d.Seconds(), 1e-9),
-				Parse:      time.Duration(s.ParseNanos).Seconds(),
-				Mine:       time.Duration(s.MineNanos).Seconds(),
-				Extract:    time.Duration(s.ExtractNanos).Seconds(),
-				JSONB:      time.Duration(s.WriteJSONBNanos).Seconds(),
-				Reorder:    time.Duration(s.ReorderNanos).Seconds(),
-				DocsTape:   s.DocsTape, DocsTree: s.DocsTree,
-				SubtreesSkipped: s.SubtreesSkipped,
-			}
+		times, s, err := c.ingestLoad(kind, lines)
+		if err != nil {
+			return err
 		}
-		tree := mk("tree", treeD, treeSnap)
-		tape := mk("tape", tapeD, tapeSnap)
-		report.Points = append(report.Points, tree, tape)
-		speedup := tape.DocsPerSec / maxf(tree.DocsPerSec, 1e-9)
-		report.Speedup[string(kind)] = speedup
-		t.row(string(kind), secs(treeD), secs(tapeD),
-			fmt.Sprintf("%.0f", tree.DocsPerSec), fmt.Sprintf("%.0f", tape.DocsPerSec),
-			fmt.Sprintf("%.2fx", speedup))
+		med := times[len(times)/2]
+		p := ingestPoint{
+			Format:          string(kind),
+			Secs:            med.Seconds(),
+			DocsPerSec:      docsPerSec(med),
+			MinDocsPerSec:   docsPerSec(times[len(times)-1]),
+			MaxDocsPerSec:   docsPerSec(times[0]),
+			Parse:           time.Duration(s.ParseNanos).Seconds(),
+			Mine:            time.Duration(s.MineNanos).Seconds(),
+			Extract:         time.Duration(s.ExtractNanos).Seconds(),
+			JSONB:           time.Duration(s.WriteJSONBNanos).Seconds(),
+			Reorder:         time.Duration(s.ReorderNanos).Seconds(),
+			DocsTape:        s.DocsTape,
+			SubtreesSkipped: s.SubtreesSkipped,
+		}
+		report.Points = append(report.Points, p)
+		t.row(string(kind), secs(med), fmt.Sprintf("%.0f", p.DocsPerSec),
+			fmt.Sprintf("%.0f", p.MinDocsPerSec), fmt.Sprintf("%.0f", p.MaxDocsPerSec))
 	}
-	report.TreeFallbackDocs = tapeFallback
 	t.write(w)
 
 	buf, err := json.MarshalIndent(report, "", "  ")
@@ -136,30 +123,6 @@ func ingestExp(w io.Writer, c *Context) error {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "ingest comparison written to %s (tape-mode tree fallbacks: %d)\n",
-		path, tapeFallback)
-	return nil
-}
-
-// IngestSmoke is the CI gate: the tape ingest of the Tiles format must
-// beat the tree ingest by minSpeedup in docs/sec, with zero tree
-// fallbacks on the homogeneous TPC-H input. Unlike the morsel gate
-// this holds on any core count — the win is per-document, not from
-// parallelism.
-func IngestSmoke(w io.Writer, c *Context, minSpeedup float64) error {
-	lines := c.tpchShuffled()
-	treeD, _ := c.ingestLoad(storage.KindTiles, lines, true)
-	fb := obs.IngestDocsTreeFallback.Load()
-	tapeD, tapeSnap := c.ingestLoad(storage.KindTiles, lines, false)
-	fallbacks := obs.IngestDocsTreeFallback.Load() - fb
-	speedup := treeD.Seconds() / maxf(tapeD.Seconds(), 1e-9)
-	fmt.Fprintf(w, "tiles load tree %s, tape %s: %.2fx (%d docs, %d tape / %d tree, numcpu=%d)\n",
-		treeD, tapeD, speedup, len(lines), tapeSnap.DocsTape, tapeSnap.DocsTree, runtime.NumCPU())
-	if fallbacks != 0 {
-		return fmt.Errorf("tape ingest fell back to trees for %d documents on homogeneous input", fallbacks)
-	}
-	if speedup < minSpeedup {
-		return fmt.Errorf("tape ingest speedup = %.2fx, below the %.2fx gate", speedup, minSpeedup)
-	}
+	fmt.Fprintf(w, "ingest throughput written to %s\n", path)
 	return nil
 }

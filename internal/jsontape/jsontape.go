@@ -13,7 +13,7 @@
 // this), and lazily decoded values are byte-for-byte identical to the
 // tree parser's. Inputs that exceed the tape's packed-word limits
 // (offsets ≥ 4 GiB, spans or container counts ≥ 2^28) return a
-// *LimitError so callers can fall back to the tree parser.
+// *LimitError, which loaders report like a syntax error.
 //
 // Tape layout: one word per node, packed as
 //

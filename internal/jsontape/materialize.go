@@ -9,7 +9,8 @@ import (
 // Materialize builds the jsonvalue tree for the subtree rooted at
 // this node. The result is identical to what jsontext.Parse would
 // have produced for the same input — the tape path's correctness
-// oracle, and the boxed fallback for heterogeneous outlier documents.
+// oracle, and how the Tiles-* loader lifts array elements into side
+// documents.
 func (n Node) Materialize() jsonvalue.Value {
 	switch n.Kind() {
 	case KNull:

@@ -1,11 +1,6 @@
 package manifest
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func testManifest() *Manifest {
 	return &Manifest{
@@ -63,108 +58,6 @@ func TestDecodeRejectsInconsistentSegments(t *testing.T) {
 		if _, err := Decode(m.Encode()); err == nil {
 			t.Errorf("case %d: Decode accepted inconsistent manifest", i)
 		}
-	}
-}
-
-func TestCommitLoad(t *testing.T) {
-	dir := t.TempDir()
-	if m, err := Load(dir); err != nil || m != nil {
-		t.Fatalf("Load of empty dir = %v, %v; want nil, nil", m, err)
-	}
-	want := testManifest()
-	if err := Commit(dir, want); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	got, err := Load(dir)
-	if err != nil || got == nil {
-		t.Fatalf("Load: %v, %v", got, err)
-	}
-	if got.Version != want.Version || len(got.Segments) != 2 {
-		t.Fatalf("Load = %+v, want %+v", got, want)
-	}
-	// A second commit replaces the generation atomically.
-	want.Version++
-	want.Segments = want.Segments[:1]
-	if err := Commit(dir, want); err != nil {
-		t.Fatalf("Commit 2: %v", err)
-	}
-	got, err = Load(dir)
-	if err != nil || got.Version != want.Version || len(got.Segments) != 1 {
-		t.Fatalf("Load 2 = %+v, %v", got, err)
-	}
-}
-
-func TestCommitRenameFailureKeepsOldGeneration(t *testing.T) {
-	dir := t.TempDir()
-	old := testManifest()
-	if err := Commit(dir, old); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	Rename = func(oldpath, newpath string) error { return fmt.Errorf("injected crash") }
-	defer func() { Rename = os.Rename }()
-	next := testManifest()
-	next.Version++
-	if err := Commit(dir, next); err == nil {
-		t.Fatal("Commit with failing rename succeeded")
-	}
-	got, err := Load(dir)
-	if err != nil || got.Version != old.Version {
-		t.Fatalf("old generation lost: %+v, %v", got, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, FileName+tmpSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("temporary manifest left behind: %v", err)
-	}
-}
-
-func TestRecover(t *testing.T) {
-	dir := t.TempDir()
-	m := &Manifest{
-		Version:  2,
-		NextID:   3,
-		Segments: []Segment{{ID: 0, File: SegmentFileName(0), Rows: 10, Bytes: 100}},
-	}
-	if err := Commit(dir, m); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	writeFile := func(name string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile(SegmentFileName(0))             // live: kept
-	writeFile(SegmentFileName(2))             // orphan: removed
-	writeFile(SegmentFileName(7) + tmpSuffix) // temporary: removed
-	writeFile("notes.txt")                    // unrelated: kept
-
-	got, removed, err := Recover(dir)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if removed != 2 {
-		t.Fatalf("removed %d files, want 2", removed)
-	}
-	if got.Version != 2 || len(got.Segments) != 1 {
-		t.Fatalf("Recover manifest = %+v", got)
-	}
-	for name, want := range map[string]bool{
-		SegmentFileName(0): true,
-		SegmentFileName(2): false,
-		"notes.txt":        true,
-	} {
-		_, err := os.Stat(filepath.Join(dir, name))
-		if exists := err == nil; exists != want {
-			t.Errorf("%s: exists=%v, want %v", name, exists, want)
-		}
-	}
-}
-
-func TestRecoverEmptyDir(t *testing.T) {
-	m, removed, err := Recover(t.TempDir())
-	if err != nil || removed != 0 {
-		t.Fatalf("Recover: %d, %v", removed, err)
-	}
-	if m.Version != 0 || m.NextID != 0 || len(m.Segments) != 0 {
-		t.Fatalf("fresh manifest = %+v", m)
 	}
 }
 

@@ -20,7 +20,7 @@
 //     permutation directly — the in-place swap schedule of the paper
 //     is an artifact of paged storage and yields the same layout)
 //  6. the caller re-mines each reordered tile with the original
-//     threshold to find the final extraction columns (tile.Builder.Build)
+//     threshold to find the final extraction columns (tile.Builder.BuildTape)
 package reorder
 
 import (
@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/fpgrowth"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/tile"
 )
@@ -46,48 +45,10 @@ type Result struct {
 	Moved int
 }
 
-// Partition reorders one partition's documents in place. docs holds
-// up to PartitionSize × TileSize documents in insertion order; after
-// the call they are permuted so that tiles (consecutive TileSize
-// runs) cluster tuples of equal frequent structure.
-func Partition(docs []jsonvalue.Value, cfg tile.Config, m *tile.Metrics) Result {
-	start := time.Now()
-	defer func() {
-		if m != nil {
-			m.ReorderNanos.Add(time.Since(start).Nanoseconds())
-		}
-	}()
-	if len(docs) == 0 || cfg.PartitionSize <= 1 {
-		return Result{}
-	}
-	tileSize := effectiveTileSize(cfg)
-	if len(docs) <= tileSize {
-		return Result{} // a single tile: nothing to redistribute
-	}
-
-	dict := keypath.NewDict()
-	txs := tile.CollectTransactions(docs, cfg.MaxArraySlots, dict)
-	order, res := computeOrder(txs, cfg, tileSize)
-	if order == nil {
-		return res
-	}
-
-	// Apply the permutation.
-	newDocs := make([]jsonvalue.Value, len(docs))
-	for newPos, oldPos := range order {
-		newDocs[newPos] = docs[oldPos]
-		if newPos != oldPos {
-			res.Moved++
-		}
-	}
-	copy(docs, newDocs)
-	return res
-}
-
-// PartitionTapes is the tape-ingest analogue of Partition: it reorders
-// parsed tape documents in place using transactions collected straight
-// from the tapes, with the identical clustering algorithm — the
-// resulting permutation matches Partition over the materialized trees.
+// PartitionTapes reorders one partition's parsed documents in place.
+// tapes holds up to PartitionSize × TileSize documents in insertion
+// order; after the call they are permuted so that tiles (consecutive
+// TileSize runs) cluster tuples of equal frequent structure.
 func PartitionTapes(tapes []*jsontape.Doc, cfg tile.Config, m *tile.Metrics) Result {
 	start := time.Now()
 	defer func() {

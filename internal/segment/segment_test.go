@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
-	"repro/internal/jsontext"
-	"repro/internal/jsonvalue"
+	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/stats"
 	"repro/internal/tile"
@@ -16,17 +15,21 @@ import (
 
 func buildTile(t testing.TB, srcs ...string) *tile.Tile {
 	t.Helper()
-	docs := make([]jsonvalue.Value, len(srcs))
-	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs[i] = v
-	}
 	cfg := tile.DefaultConfig()
 	cfg.DetectDates = false
-	return tile.NewBuilder(cfg, nil).Build(docs)
+	return buildTileCfg(t, cfg, srcs)
+}
+
+func buildTileCfg(t testing.TB, cfg tile.Config, srcs []string) *tile.Tile {
+	t.Helper()
+	tapes := make([]*jsontape.Doc, len(srcs))
+	for i, s := range srcs {
+		tapes[i] = &jsontape.Doc{}
+		if err := jsontape.Parse([]byte(s), tapes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tile.NewBuilder(cfg, nil).BuildTape(tapes)
 }
 
 // writeTestSegment builds two tiles with disjoint schemas (so tile
@@ -222,15 +225,7 @@ func TestOpenV1Segment(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		srcs = append(srcs, fmt.Sprintf(`{"id":%d,"level":"%s"}`, i, []string{"a", "b"}[i%2]))
 	}
-	docs := make([]jsonvalue.Value, len(srcs))
-	for i, s := range srcs {
-		v, err := jsontext.ParseString(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs[i] = v
-	}
-	tl := tile.NewBuilder(cfg, nil).Build(docs)
+	tl := buildTileCfg(t, cfg, srcs)
 	st := stats.New(0, 0)
 	st.AddTile(tl)
 

@@ -24,13 +24,12 @@ func dirTestBatch(t *testing.T, lines []string) ([]*tile.Tile, *stats.TableStats
 	for i, l := range lines {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
-	if err != nil {
-		t.Fatalf("parseAll: %v", err)
-	}
 	cfg := DefaultLoaderConfig()
 	cfg.Tile.TileSize = 16
-	rel := BuildTiles("batch", docs, cfg, 2, nil)
+	rel, err := BuildTilesFromLines("batch", raw, cfg, 2, nil)
+	if err != nil {
+		t.Fatalf("BuildTilesFromLines: %v", err)
+	}
 	return rel.(TileIntrospector).Tiles(), rel.Stats()
 }
 
@@ -116,11 +115,10 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 	for i, l := range all {
 		raw[i] = []byte(l)
 	}
-	docs, err := parseAll(raw, 2)
+	mem, err := BuildTilesFromLines("mem", raw, cfg, 2, nil)
 	if err != nil {
-		t.Fatalf("parseAll: %v", err)
+		t.Fatalf("BuildTilesFromLines: %v", err)
 	}
-	mem := BuildTiles("mem", docs, cfg, 2, nil)
 	accesses := dirTestAccesses()
 	want := scanMultiset(mem, accesses)
 
@@ -147,7 +145,11 @@ func TestDirTableAppendCompactReopen(t *testing.T) {
 
 	// Dead segment files must be gone; live ones must match the
 	// manifest exactly.
-	man, err := manifest.Load(dir)
+	store, err := blockstore.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := manifest.LoadStore(store)
 	if err != nil {
 		t.Fatalf("Load manifest: %v", err)
 	}

@@ -1,14 +1,16 @@
 package storage
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bufpool"
 	"repro/internal/expr"
+	"repro/internal/jsonb"
 	"repro/internal/jsongen"
 	"repro/internal/jsontape"
 	"repro/internal/jsontext"
@@ -17,9 +19,9 @@ import (
 )
 
 // Tape-vs-tree conformance (DESIGN.md §6.8): for every storage format
-// and several worker counts, loading through the structural-tape path
-// must produce results identical to the boxed jsonvalue-tree path
-// (LoaderConfig.TreeIngest), which is the long-standing reference.
+// and several worker counts, loading through the structural tape must
+// answer exactly what the parsed jsonvalue trees say — the reference
+// the tape parser is held to.
 
 // tapeConfSample derives a handful of typed accesses from the
 // documents, plus one absent path.
@@ -94,57 +96,52 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 		}
 		accesses := tapeConfSample(r, docs)
 
+		// Truth straight from the trees, as in
+		// TestConformanceRandomDocsAllFormats.
+		truthSet := map[string]int{}
+		wantRaw := map[string]int{}
+		for _, d := range docs {
+			cells := make([]string, len(accesses))
+			for ai, a := range accesses {
+				cells[ai] = normalizeCell(valueAccess(d, a.Path, a.Type).String())
+			}
+			truthSet[joinRow(cells)]++
+			wantRaw[string(jsonb.Encode(d))]++
+		}
+
 		for _, k := range allKinds() {
 			for _, workers := range []int{1, 4} {
-				treeCfg := DefaultLoaderConfig()
-				treeCfg.Tile.TileSize = 16
-				treeCfg.TreeIngest = true
-				lt, _ := NewLoader(k, treeCfg)
-				treeRel, err := lt.Load("conf", docLines, workers)
+				cfg := DefaultLoaderConfig()
+				cfg.Tile.TileSize = 16
+				l, _ := NewLoader(k, cfg)
+				rel, err := l.Load("conf", docLines, workers)
 				if err != nil {
-					t.Fatalf("trial %d %s w%d tree: %v", trial, k, workers, err)
+					t.Fatalf("trial %d %s w%d: %v", trial, k, workers, err)
 				}
-				truthSet := normRowMultiset(treeRel, accesses, workers)
-
-				tapeCfg := treeCfg
-				tapeCfg.TreeIngest = false
-				lp, _ := NewLoader(k, tapeCfg)
-				tapeRel, err := lp.Load("conf", docLines, workers)
-				if err != nil {
-					t.Fatalf("trial %d %s w%d tape: %v", trial, k, workers, err)
-				}
-				// Row and batch scans against the tree-path truth.
-				verifyConformance(t, trial, string(k)+"-tape", tapeRel, accesses, truthSet)
+				verifyConformance(t, trial, string(k)+"-tape", rel, accesses, truthSet)
 
 				if k != KindTiles {
 					continue
 				}
-				// The tile layouts must agree byte for byte: same tile
-				// boundaries and the same JSONB raw storage per row.
-				treeTiles := treeRel.(TileIntrospector).Tiles()
-				tapeTiles := tapeRel.(TileIntrospector).Tiles()
-				if len(treeTiles) != len(tapeTiles) {
-					t.Fatalf("trial %d w%d: %d tree tiles vs %d tape tiles",
-						trial, workers, len(treeTiles), len(tapeTiles))
+				// The tiles' JSONB raw storage must hold each tree's
+				// binary encoding byte for byte (reordering permutes
+				// rows, so compare per-row multisets).
+				gotRaw := map[string]int{}
+				for _, tl := range rel.(TileIntrospector).Tiles() {
+					for i := 0; i < tl.NumRows(); i++ {
+						gotRaw[string(tl.RawBytes(i))]++
+					}
 				}
-				for ti := range treeTiles {
-					a, b := treeTiles[ti], tapeTiles[ti]
-					if a.NumRows() != b.NumRows() {
-						t.Fatalf("trial %d tile %d rows differ", trial, ti)
-					}
-					for i := 0; i < a.NumRows(); i++ {
-						if !bytes.Equal(a.RawBytes(i), b.RawBytes(i)) {
-							t.Fatalf("trial %d tile %d raw doc %d differs", trial, ti, i)
-						}
-					}
+				if !reflect.DeepEqual(gotRaw, wantRaw) {
+					t.Fatalf("trial %d w%d: tile raw storage differs from jsonb.Encode of the trees", trial, workers)
 				}
 
 				// Segment round trip of the tape-loaded relation.
 				segPath := filepath.Join(t.TempDir(), "tape.seg")
-				if err := WriteSegmentFile(segPath, tapeRel); err != nil {
+				if err := WriteSegmentFile(segPath, rel); err != nil {
 					t.Fatalf("trial %d segment write: %v", trial, err)
 				}
-				srel, err := OpenSegmentFile("conf", segPath, bufpool.New(0), tapeCfg)
+				srel, err := OpenSegmentFile("conf", segPath, bufpool.New(0), cfg)
 				if err != nil {
 					t.Fatalf("trial %d segment open: %v", trial, err)
 				}
@@ -160,45 +157,40 @@ func TestTapeMatchesTreeAllFormats(t *testing.T) {
 	}
 }
 
-// TestTapeLimitFallback shrinks the tape limits so every loader hits
-// LimitError and exercises its tree fallback; results must match the
-// forced-tree reference exactly.
+// TestTapeLimitFallback checks what replaced the tree fallback: with
+// the tape limits shrunk, a load holding over-limit documents at
+// indexes 5 and 2 fails on every format and worker count with the
+// lowest index and the tape-limit error, and ValidateDoc (the
+// insert-time check) rejects such a document.
 func TestTapeLimitFallback(t *testing.T) {
-	docLines := lines(
-		`{"id":1,"tags":["a","b","c","d","e"],"name":"x"}`,
-		`{"id":2,"tags":[1,2,3],"name":"y"}`,
-		`{"id":3,"nested":{"deep":{"list":[true,false,null,1,2,3,4]}}}`,
-	)
-	accesses := []Access{
-		NewAccess(expr.TBigInt, "id"),
-		NewAccess(expr.TText, "name"),
-		NewAccess(expr.TText, "tags"),
+	docLines := make([][]byte, 12)
+	for i := range docLines {
+		docLines[i] = []byte(fmt.Sprintf(`{"id":%d,"ok":true}`, i))
 	}
+	docLines[5] = []byte(`{"id":5,"blob":"far longer than the shrunk span limit"}`)
+	docLines[2] = []byte(`{"id":2,"blob":"also longer than the span limit"}`)
 
-	treeCfg := DefaultLoaderConfig()
-	treeCfg.TreeIngest = true
-
-	restore := jsontape.SetLimitsForTesting(4, 1<<20)
+	restore := jsontape.SetLimitsForTesting(16, 1<<20)
 	defer restore()
+	const want = "document 2: jsontape: string length exceeds tape limits"
 	for _, k := range allKinds() {
-		lt, _ := NewLoader(k, treeCfg)
-		treeRel, err := lt.Load("lim", docLines, 2)
-		if err != nil {
-			t.Fatalf("%s tree: %v", k, err)
+		for _, workers := range []int{1, 2, 8} {
+			l, _ := NewLoader(k, DefaultLoaderConfig())
+			_, err := l.Load("lim", docLines, workers)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s w%d: error %v, want %q", k, workers, err, want)
+			}
 		}
-		truthSet := normRowMultiset(treeRel, accesses, 2)
-
-		lp, _ := NewLoader(k, DefaultLoaderConfig())
-		tapeRel, err := lp.Load("lim", docLines, 2)
-		if err != nil {
-			t.Fatalf("%s tape-with-limits: %v", k, err)
-		}
-		verifyConformance(t, 0, string(k)+"-limited", tapeRel, accesses, truthSet)
+	}
+	if _, err := BuildTilesStar("lim", docLines, DefaultLoaderConfig(), 2, keypath.NewPath("id")); err == nil || err.Error() != want {
+		t.Fatalf("BuildTilesStar: error %v, want %q", err, want)
 	}
 
-	// ValidateDoc must also survive the limit through its fallback.
+	if err := ValidateDoc(docLines[2]); !jsontape.IsLimit(err) {
+		t.Fatalf("ValidateDoc over the limit: %v, want a tape-limit error", err)
+	}
 	if err := ValidateDoc(docLines[0]); err != nil {
-		t.Fatalf("ValidateDoc under limits: %v", err)
+		t.Fatalf("ValidateDoc under the limit: %v", err)
 	}
 	if err := ValidateDoc([]byte(`{"bad":`)); err == nil {
 		t.Fatal("ValidateDoc accepted malformed input")
@@ -221,26 +213,22 @@ func TestParseErrorDeterminism(t *testing.T) {
 	var want string
 	for _, k := range allKinds() {
 		for _, workers := range []int{1, 2, 8} {
-			for _, treeIngest := range []bool{false, true} {
-				cfg := DefaultLoaderConfig()
-				cfg.TreeIngest = treeIngest
-				l, _ := NewLoader(k, cfg)
-				_, err := l.Load("bad", docLines, workers)
-				if err == nil {
-					t.Fatalf("%s w%d tree=%v: expected error", k, workers, treeIngest)
-				}
-				msg := err.Error()
-				if !strings.Contains(msg, "document 9") {
-					t.Fatalf("%s w%d tree=%v: error %q does not report document 9", k, workers, treeIngest, msg)
-				}
-				if !strings.Contains(msg, "offset") {
-					t.Fatalf("%s w%d tree=%v: error %q has no byte offset", k, workers, treeIngest, msg)
-				}
-				if want == "" {
-					want = msg
-				} else if msg != want {
-					t.Fatalf("%s w%d tree=%v: error %q differs from %q", k, workers, treeIngest, msg, want)
-				}
+			l, _ := NewLoader(k, DefaultLoaderConfig())
+			_, err := l.Load("bad", docLines, workers)
+			if err == nil {
+				t.Fatalf("%s w%d: expected error", k, workers)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "document 9") {
+				t.Fatalf("%s w%d: error %q does not report document 9", k, workers, msg)
+			}
+			if !strings.Contains(msg, "offset") {
+				t.Fatalf("%s w%d: error %q has no byte offset", k, workers, msg)
+			}
+			if want == "" {
+				want = msg
+			} else if msg != want {
+				t.Fatalf("%s w%d: error %q differs from %q", k, workers, msg, want)
 			}
 		}
 	}

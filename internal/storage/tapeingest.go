@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/jsonb"
 	"repro/internal/jsontape"
-	"repro/internal/jsonvalue"
 	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/stats"
@@ -19,15 +17,10 @@ import (
 
 // On-demand ingest (DESIGN.md §6.8): every loader parses documents
 // into structural tapes and feeds them straight to its extraction or
-// encoding pass, materializing jsonvalue trees only for documents the
-// tape cannot represent (LimitError: ≥4 GiB documents or ≥2^28-element
-// spans) — the boxed fallback path, counted by ingest_docs_tree_fallback.
-// Setting LoaderConfig.TreeIngest forces the fallback everywhere, which
-// the ingest benchmark and the conformance suite use as the reference.
-
-// errTapeLimit signals that some document exceeded the tape encoding
-// limits; whole-input loaders retry on the tree path.
-var errTapeLimit = errors.New("storage: document exceeds tape limits")
+// encoding pass, materializing no jsonvalue trees beyond the Tiles-*
+// side documents it synthesizes. A document the tape cannot represent
+// (LimitError: ≥4 GiB documents or ≥2^28-element spans) fails the load
+// like a syntax error, with its index.
 
 // ingestScratch pools one worker's tape document and JSONB encoder so
 // repeated loads reuse the tape and encoder buffers (like
@@ -112,15 +105,12 @@ func (p *parseErrs) get() error {
 }
 
 // parseAllTapes parses every line into a resident tape in parallel.
-// It returns errTapeLimit when any document exceeds the tape limits
-// (the caller retries on the tree path) and otherwise the lowest-index
-// parse error, exactly like parseAll.
+// Errors — syntax or tape limit — report the lowest failing index.
 func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	tapes := make([]*jsontape.Doc, len(lines))
 	pe := newParseErrs()
-	var limited atomic.Bool
 	morselRange(len(lines), workers, func(w, lo, hi int) {
-		if pe.failedBefore(lo) || limited.Load() {
+		if pe.failedBefore(lo) {
 			return
 		}
 		var tapeBytes int64
@@ -128,11 +118,7 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 		for i := lo; i < hi; i++ {
 			d := new(jsontape.Doc)
 			if err := jsontape.Parse(lines[i], d); err != nil {
-				if jsontape.IsLimit(err) {
-					limited.Store(true)
-				} else {
-					pe.record(i, err)
-				}
+				pe.record(i, err)
 				return
 			}
 			tapeBytes += int64(8 * len(d.Tape))
@@ -142,175 +128,97 @@ func parseAllTapes(lines [][]byte, workers int) ([]*jsontape.Doc, error) {
 	if err := pe.get(); err != nil {
 		return nil, err
 	}
-	if limited.Load() {
-		return nil, errTapeLimit
-	}
 	return tapes, nil
 }
 
-// ValidateDoc checks that line is one well-formed JSON document, using
-// the tape parser with tree fallback past its limits — the insert-time
-// validation of the public API.
+// parseEach parses every line, morsel-parallel, into the worker's
+// pooled tape and hands it to fn (nil only validates) while the tape is
+// live. Errors report the lowest failing index.
+func parseEach(lines [][]byte, workers int, fn func(i int, s *ingestScratch)) error {
+	pe := newParseErrs()
+	morselRange(len(lines), workers, func(w, lo, hi int) {
+		if pe.failedBefore(lo) {
+			return
+		}
+		s := ingestScratchPool.Get().(*ingestScratch)
+		defer ingestScratchPool.Put(s)
+		var tapeDocs, tapeBytes int64
+		defer func() {
+			obs.IngestDocsTape.Add(tapeDocs)
+			obs.IngestTapeBytes.Add(tapeBytes)
+		}()
+		for i := lo; i < hi; i++ {
+			if err := jsontape.Parse(lines[i], &s.doc); err != nil {
+				pe.record(i, err)
+				return
+			}
+			tapeDocs++
+			tapeBytes += int64(8 * len(s.doc.Tape))
+			if fn != nil {
+				fn(i, s)
+			}
+		}
+	})
+	return pe.get()
+}
+
+// ValidateDoc checks that line is one well-formed JSON document the
+// tape can represent — the insert-time validation of the public API.
 func ValidateDoc(line []byte) error {
 	s := ingestScratchPool.Get().(*ingestScratch)
 	err := jsontape.Parse(line, &s.doc)
 	ingestScratchPool.Put(s)
-	if jsontape.IsLimit(err) {
-		_, err = parseDoc(line)
-	}
 	return err
 }
 
 // BuildTilesFromLines parses and ingests raw JSON lines into a Tiles
-// relation. The default path is tape-driven and morsel-parallel with
-// partition granularity: each worker parses a partition's lines into
-// pooled tapes, reorders them (§3.2), and builds its tiles directly
-// from the tapes — documents are never materialized as trees. A
-// partition containing an over-limit document falls back to the tree
-// path for that partition only. With cfg.TreeIngest the whole load
-// uses the tree path (parseAll + BuildTiles).
+// relation, morsel-parallel with partition granularity: each worker
+// parses a partition's lines into pooled tapes, reorders them (§3.2),
+// and builds its tiles directly from the tapes.
 func BuildTilesFromLines(name string, lines [][]byte, cfg LoaderConfig, workers int, metrics *tile.Metrics) (Relation, error) {
 	if metrics == nil {
 		metrics = cfg.Metrics
 	}
-	if cfg.TreeIngest {
-		start := time.Now()
-		docs, err := parseAll(lines, workers)
-		if err != nil {
-			return nil, err
-		}
-		if metrics != nil {
-			metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-		}
-		obs.DocsLoaded.Add(int64(len(docs)))
-		return BuildTiles(name, docs, cfg, workers, metrics), nil
-	}
-
-	tcfg := cfg.Tile
-	if tcfg.TileSize <= 0 {
-		tcfg = tile.DefaultConfig()
-	}
-	partDocs := tcfg.TileSize * tcfg.PartitionSize
-	if partDocs <= 0 {
-		partDocs = tcfg.TileSize
-	}
-	numParts := (len(lines) + partDocs - 1) / partDocs
-
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(lines),
-		stats: stats.New(0, 0), metrics: metrics}
-	partTiles := make([][]*tile.Tile, numParts)
 	pe := newParseErrs()
-
-	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
-		builder := tile.NewBuilder(tcfg, metrics)
-		batch := tapeBatchPool.Get().(*tapeBatch)
-		defer tapeBatchPool.Put(batch)
-		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(lines) {
-				dhi = len(lines)
-			}
-			if pe.failedBefore(dlo) {
-				continue
-			}
-			part := lines[dlo:dhi]
-
-			start := time.Now()
-			tapes := batch.prep(len(part))
-			limited := false
-			failed := false
-			var tapeBytes int64
-			for i, line := range part {
-				if err := jsontape.Parse(line, tapes[i]); err != nil {
-					if jsontape.IsLimit(err) {
-						limited = true
-					} else {
-						pe.record(dlo+i, err)
-						failed = true
-					}
-					break
-				}
-				tapeBytes += int64(8 * len(tapes[i].Tape))
-			}
+	r := buildTiles(name, len(lines), cfg, workers, metrics, func(batch *tapeBatch, lo, hi int) []*jsontape.Doc {
+		if pe.failedBefore(lo) {
+			return nil
+		}
+		start := time.Now()
+		tapes := batch.prep(hi - lo)
+		var tapeBytes int64
+		defer func() {
 			if metrics != nil {
 				metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
 			}
 			obs.IngestTapeBytes.Add(tapeBytes)
-			if failed {
-				continue
+		}()
+		for i, line := range lines[lo:hi] {
+			if err := jsontape.Parse(line, tapes[i]); err != nil {
+				pe.record(lo+i, err)
+				return nil
 			}
-			if limited {
-				partTiles[p] = buildPartitionTree(builder, part, dlo, tcfg, cfg, metrics, pe)
-				continue
-			}
-			if cfg.Reorder && tcfg.PartitionSize > 1 {
-				reorder.PartitionTapes(tapes, tcfg, metrics)
-			}
-			var tiles []*tile.Tile
-			for tlo := 0; tlo < len(tapes); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(tapes) {
-					thi = len(tapes)
-				}
-				tiles = append(tiles, builder.BuildTape(tapes[tlo:thi]))
-			}
-			partTiles[p] = tiles
+			tapeBytes += int64(8 * len(tapes[i].Tape))
 		}
+		return tapes
 	})
 	if err := pe.get(); err != nil {
 		return nil, err
-	}
-	for _, pt := range partTiles {
-		for _, t := range pt {
-			r.tiles = append(r.tiles, t)
-			r.stats.AddTile(t)
-		}
 	}
 	obs.DocsLoaded.Add(int64(len(lines)))
 	return r, nil
 }
 
-// buildPartitionTree is the per-partition tree fallback of
-// BuildTilesFromLines: parse the partition's lines into trees (the
-// partition holds an over-limit document) and build through the boxed
-// path. The partition's global line offset keeps error indexes
-// deterministic.
-func buildPartitionTree(builder *tile.Builder, part [][]byte, dlo int,
-	tcfg tile.Config, cfg LoaderConfig, metrics *tile.Metrics, pe *parseErrs) []*tile.Tile {
-	start := time.Now()
-	docs := make([]jsonvalue.Value, len(part))
-	for i, line := range part {
-		v, err := parseDoc(line)
-		if err != nil {
-			pe.record(dlo+i, err)
-			return nil
-		}
-		docs[i] = v
-	}
-	if metrics != nil {
-		metrics.ParseNanos.Add(time.Since(start).Nanoseconds())
-	}
-	if cfg.Reorder && tcfg.PartitionSize > 1 {
-		reorder.Partition(docs, tcfg, metrics)
-	}
-	var tiles []*tile.Tile
-	for tlo := 0; tlo < len(docs); tlo += tcfg.TileSize {
-		thi := tlo + tcfg.TileSize
-		if thi > len(docs) {
-			thi = len(docs)
-		}
-		tiles = append(tiles, builder.Build(docs[tlo:thi]))
-	}
-	return tiles
-}
-
-// buildTilesFromTapes builds a Tiles relation from already-parsed
-// resident tapes (the Tiles-* main relation path).
-func buildTilesFromTapes(name string, tapes []*jsontape.Doc, cfg LoaderConfig, workers int, metrics *tile.Metrics) *tilesRelation {
-	if metrics == nil {
-		metrics = cfg.Metrics
-	}
+// buildTiles is the partition loop of every Tiles load. Partitions of
+// TileSize × PartitionSize documents are fully independent (§3.2:
+// "Each thread is dedicated to a disjoint subset of the data"), so
+// each is one morsel: a partition is already thousands of documents,
+// and unit granularity gives the queue its work stealing without
+// splitting the reorder/extraction scope. partTapes supplies the tapes
+// of documents [lo, hi) — from the worker's pooled batch if it parses
+// them — or nil to skip a partition that failed.
+func buildTiles(name string, n int, cfg LoaderConfig, workers int, metrics *tile.Metrics,
+	partTapes func(batch *tapeBatch, lo, hi int) []*jsontape.Doc) *tilesRelation {
 	tcfg := cfg.Tile
 	if tcfg.TileSize <= 0 {
 		tcfg = tile.DefaultConfig()
@@ -319,32 +227,27 @@ func buildTilesFromTapes(name string, tapes []*jsontape.Doc, cfg LoaderConfig, w
 	if partDocs <= 0 {
 		partDocs = tcfg.TileSize
 	}
-	numParts := (len(tapes) + partDocs - 1) / partDocs
+	numParts := (n + partDocs - 1) / partDocs
 
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(tapes),
+	r := &tilesRelation{name: name, cfg: cfg, numRows: n,
 		stats: stats.New(0, 0), metrics: metrics}
 	partTiles := make([][]*tile.Tile, numParts)
 	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
 		builder := tile.NewBuilder(tcfg, metrics)
+		batch := tapeBatchPool.Get().(*tapeBatch)
+		defer tapeBatchPool.Put(batch)
 		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(tapes) {
-				dhi = len(tapes)
+			part := partTapes(batch, p*partDocs, min((p+1)*partDocs, n))
+			if part == nil {
+				continue
 			}
-			part := tapes[dlo:dhi]
 			if cfg.Reorder && tcfg.PartitionSize > 1 {
 				reorder.PartitionTapes(part, tcfg, metrics)
 			}
-			var tiles []*tile.Tile
 			for tlo := 0; tlo < len(part); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(part) {
-					thi = len(part)
-				}
-				tiles = append(tiles, builder.BuildTape(part[tlo:thi]))
+				thi := min(tlo+tcfg.TileSize, len(part))
+				partTiles[p] = append(partTiles[p], builder.BuildTape(part[tlo:thi]))
 			}
-			partTiles[p] = tiles
 		}
 	})
 	for _, pt := range partTiles {

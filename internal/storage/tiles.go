@@ -6,10 +6,10 @@ import (
 	"sync"
 
 	"repro/internal/expr"
+	"repro/internal/jsontape"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
 	"repro/internal/obs"
-	"repro/internal/reorder"
 	"repro/internal/stats"
 	"repro/internal/tile"
 )
@@ -47,62 +47,6 @@ func NewTilesLoader(cfg LoaderConfig, m *tile.Metrics) Loader {
 
 func (l tilesLoader) Load(name string, lines [][]byte, workers int) (Relation, error) {
 	return BuildTilesFromLines(name, lines, l.cfg, workers, l.cfg.Metrics)
-}
-
-// BuildTiles constructs a Tiles relation from parsed documents.
-// Partitions are fully independent (§3.2: "Each thread is dedicated to
-// a disjoint subset of the data"), so they are processed in parallel.
-func BuildTiles(name string, docs []jsonvalue.Value, cfg LoaderConfig, workers int, metrics *tile.Metrics) Relation {
-	if metrics == nil {
-		metrics = cfg.Metrics
-	}
-	tcfg := cfg.Tile
-	if tcfg.TileSize <= 0 {
-		tcfg = tile.DefaultConfig()
-	}
-	partDocs := tcfg.TileSize * tcfg.PartitionSize
-	if partDocs <= 0 {
-		partDocs = tcfg.TileSize
-	}
-	numParts := (len(docs) + partDocs - 1) / partDocs
-
-	r := &tilesRelation{name: name, cfg: cfg, numRows: len(docs),
-		stats: stats.New(0, 0), metrics: metrics}
-	partTiles := make([][]*tile.Tile, numParts)
-
-	// One morsel per partition: a partition is already thousands of
-	// documents, so unit granularity gives the queue its work stealing
-	// without splitting the reorder/extraction scope.
-	morselRangeSized(numParts, workers, 1, func(w, lo, hi int) {
-		builder := tile.NewBuilder(tcfg, metrics)
-		for p := lo; p < hi; p++ {
-			dlo := p * partDocs
-			dhi := dlo + partDocs
-			if dhi > len(docs) {
-				dhi = len(docs)
-			}
-			part := docs[dlo:dhi]
-			if cfg.Reorder && tcfg.PartitionSize > 1 {
-				reorder.Partition(part, tcfg, metrics)
-			}
-			var tiles []*tile.Tile
-			for tlo := 0; tlo < len(part); tlo += tcfg.TileSize {
-				thi := tlo + tcfg.TileSize
-				if thi > len(part) {
-					thi = len(part)
-				}
-				tiles = append(tiles, builder.Build(part[tlo:thi]))
-			}
-			partTiles[p] = tiles
-		}
-	})
-	for _, pt := range partTiles {
-		for _, t := range pt {
-			r.tiles = append(r.tiles, t)
-			r.stats.AddTile(t)
-		}
-	}
-	return r
 }
 
 func (r *tilesRelation) Name() string             { return r.name }
@@ -162,20 +106,38 @@ func (r *tilesRelation) UpdateRow(i int, doc jsonvalue.Value) (needsRecompute bo
 
 // RecomputeTiles re-materializes every tile whose update-introduced
 // outliers exceed the §4.7 threshold, re-mining the (changed) frequent
-// structures. Relation statistics are rebuilt from all tiles. It
-// returns the number of tiles recomputed.
+// structures. Each drifted row's binary JSON is re-serialized and
+// parsed into a pooled tape: AppendJSON keeps floats as floats and the
+// binary format's keys come back sorted, so the rebuilt tile equals a
+// fresh load of the current rows. A tile holding a row past the tape
+// limits keeps its current, still-correct layout. Relation statistics
+// are rebuilt from all tiles. It returns the number of tiles
+// recomputed.
 func (r *tilesRelation) RecomputeTiles() int {
 	tcfg := r.cfg.Tile
 	if tcfg.TileSize <= 0 {
 		tcfg = tile.DefaultConfig()
 	}
 	builder := tile.NewBuilder(tcfg, r.metrics)
+	batch := tapeBatchPool.Get().(*tapeBatch)
+	defer tapeBatchPool.Put(batch)
+	var text []byte
+	var ends []int
 	recomputed := 0
 	for i, t := range r.tiles {
 		if !t.NeedsRecompute() {
 			continue
 		}
-		r.tiles[i] = builder.Build(t.Documents())
+		text, ends = text[:0], ends[:0]
+		for row := 0; row < t.NumRows(); row++ {
+			text = t.Raw(row).AppendJSON(text)
+			ends = append(ends, len(text))
+		}
+		tapes := batch.prep(t.NumRows())
+		if !parseRows(text, ends, tapes) {
+			continue
+		}
+		r.tiles[i] = builder.BuildTape(tapes)
 		recomputed++
 	}
 	if recomputed > 0 {
@@ -185,6 +147,19 @@ func (r *tilesRelation) RecomputeTiles() int {
 		}
 	}
 	return recomputed
+}
+
+// parseRows parses the documents text[ends[i-1]:ends[i]] into tapes,
+// reporting whether every one fit the tape.
+func parseRows(text []byte, ends []int, tapes []*jsontape.Doc) bool {
+	lo := 0
+	for i, hi := range ends {
+		if jsontape.Parse(text[lo:hi], tapes[i]) != nil {
+			return false
+		}
+		lo = hi
+	}
+	return true
 }
 
 // RawSizeBytes returns the binary JSON bytes.

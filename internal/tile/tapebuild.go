@@ -15,18 +15,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Tape-driven tile construction: the same mining and extraction as
-// Build, but consuming structural tapes (DESIGN.md §6.8). Where the
-// tree path walks every document twice (once for transactions, once
-// for leaves) over boxed jsonvalue nodes, BuildTape walks each tape
-// once, recording (dictionary id, tape node) pairs; columns then
-// decode scalar payloads lazily, straight from the document bytes.
-// The resulting tile is byte-identical to Build over the materialized
-// trees: same dictionary ids, same transactions, same column order
-// and contents, and EncodeTape matches Encode byte for byte.
+// Tile construction consumes structural tapes (DESIGN.md §6.8), the
+// only ingest representation. BuildTape walks each tape once,
+// recording (dictionary id, tape node) pairs; columns then decode
+// scalar payloads lazily, straight from the document bytes. The tests
+// hold the result byte-identical to a tree-based reference build over
+// the materialized documents: same dictionary ids, same transactions,
+// same column order and contents, and EncodeTape matches Encode byte
+// for byte.
 
-// CollectTapeTransactions is the tape analogue of CollectTransactions:
-// one sorted item-id list per document over a shared dictionary. The
+// CollectTapeTransactions turns documents into itemset transactions
+// over a shared dictionary — one sorted item-id list per document. The
 // partition reorderer uses it to cluster tapes before tile building.
 func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.Dict) [][]int32 {
 	txs := make([][]int32, len(tapes))
@@ -40,9 +39,12 @@ func CollectTapeTransactions(tapes []*jsontape.Doc, maxSlots int, dict *keypath.
 	return txs
 }
 
-// BuildTape materializes one tile from parsed tapes. It mirrors Build
-// exactly but walks each document once: the walk yields both the
-// mining transaction and the leaf nodes the extraction pass decodes.
+// BuildTape materializes one tile from parsed tapes: collect key paths,
+// mine frequent itemsets at the extraction threshold, extract the
+// union of the maximal itemsets as typed columns (§3.1), and encode
+// every document into binary JSON for the fallback path. One walk per
+// document yields both the mining transaction and the leaf nodes the
+// extraction pass decodes.
 func (b *Builder) BuildTape(tapes []*jsontape.Doc) *Tile {
 	obs.IngestDocsTape.Add(int64(len(tapes)))
 	if b.Metrics != nil {
@@ -51,8 +53,8 @@ func (b *Builder) BuildTape(tapes []*jsontape.Doc) *Tile {
 
 	start := time.Now()
 	// Single walk per document: flat (id, node) pairs plus per-doc end
-	// offsets. Leaf order within a document matches the tree walk, so
-	// last-occurrence-wins semantics carry over unchanged.
+	// offsets. Leaf order within a document matches the reference tree
+	// walk, so last-occurrence-wins semantics carry over unchanged.
 	dict := keypath.NewDict()
 	var (
 		ids     []int32
@@ -147,8 +149,8 @@ func (b *Builder) materializeTape(tapes []*jsontape.Doc, dict *keypath.Dict,
 		}
 	}
 
-	// The tree path gathers per-document leaves into a map keyed by
-	// path with last-occurrence-wins. The tape equivalent is a dense
+	// The reference tree build gathers per-document leaves into a map
+	// keyed by path with last-occurrence-wins. The equivalent here is a dense
 	// docs × extracted-path matrix of flat-run indexes: one column per
 	// extracted PATH (all types share it, exactly like the map slot),
 	// filled by a forward scan so later occurrences overwrite earlier.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/jsonb"
 	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
@@ -45,7 +46,7 @@ func tapeCorpus(t *testing.T) (docs []jsonvalue.Value, tapes []*jsontape.Doc) {
 	return docs, tapes
 }
 
-// TestBuildTapeMatchesBuild locks the tape build to the tree build:
+// TestBuildTapeMatchesBuild locks the tape build to the tree oracle:
 // identical header, columns (bytes), statistics, and raw storage.
 func TestBuildTapeMatchesBuild(t *testing.T) {
 	docs, tapes := tapeCorpus(t)
@@ -53,10 +54,69 @@ func TestBuildTapeMatchesBuild(t *testing.T) {
 	cfg.TileSize = len(docs)
 	cfg.MaxArraySlots = 2
 
-	var mTree, mTape Metrics
-	tree := NewBuilder(cfg, &mTree).Build(docs)
-	tape := NewBuilder(cfg, &mTape).BuildTape(tapes)
+	var m Metrics
+	tree := NewBuilder(cfg, nil).Build(docs)
+	tape := NewBuilder(cfg, &m).BuildTape(tapes)
+	assertSameTile(t, tree, tape)
+	if m.DocsTape.Load() != int64(len(tapes)) {
+		t.Errorf("tape metrics: DocsTape=%d, want %d", m.DocsTape.Load(), len(tapes))
+	}
+	if m.SubtreesSkipped.Load() == 0 {
+		t.Errorf("expected skipped subtrees with MaxArraySlots=2")
+	}
+}
 
+// TestRecomputeInputMatchesTreeOracle drifts a tile with updates until
+// it wants recomputation (§4.7), then rebuilds it from the recompute
+// input: each row's binary JSON re-serialized with AppendJSON and
+// parsed into a tape for BuildTape. The result must equal the tree
+// oracle over the decoded rows — floats stay floats through the text
+// round trip, and the binary format's sorted keys come back in order.
+func TestRecomputeInputMatchesTreeOracle(t *testing.T) {
+	_, tapes := tapeCorpus(t)
+	cfg := DefaultConfig()
+	cfg.TileSize = len(tapes)
+	cfg.MaxArraySlots = 2
+	cfg.Threshold = 0.5 // the drifted majority is just over half the rows
+	tl := NewBuilder(cfg, nil).BuildTape(tapes)
+
+	var enc jsonb.Encoder
+	for i := 0; !tl.NeedsRecompute(); i++ {
+		if i == tl.NumRows() {
+			t.Fatal("updates never made the tile want recomputation")
+		}
+		src := fmt.Sprintf(`{"v":%d.25,"f":%d.0,"kind":"drift-%d","at":"2021-03-1%d","nested":{"k":%d,"arr":[1,2,3]}}`,
+			i, i, i%3, i%10, i)
+		doc, err := jsontext.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tl.Update(i, doc, &enc, cfg.MaxArraySlots) {
+			t.Fatalf("update %d not flagged as an outlier", i)
+		}
+	}
+
+	decoded := make([]jsonvalue.Value, tl.NumRows())
+	retapes := make([]*jsontape.Doc, tl.NumRows())
+	for i := range decoded {
+		decoded[i] = tl.Raw(i).Decode()
+		retapes[i] = &jsontape.Doc{}
+		if err := jsontape.Parse(tl.Raw(i).AppendJSON(nil), retapes[i]); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	tree := NewBuilder(cfg, nil).Build(decoded)
+	tape := NewBuilder(cfg, nil).BuildTape(retapes)
+	assertSameTile(t, tree, tape)
+	if tape.FindColumn("f", keypath.TypeDouble) < 0 {
+		t.Errorf("integral float column f was not re-mined as Double")
+	}
+}
+
+// assertSameTile compares two tiles' headers, column bytes,
+// statistics, seen-path filters and raw storage.
+func assertSameTile(t *testing.T, tree, tape *Tile) {
+	t.Helper()
 	if tree.NumRows() != tape.NumRows() {
 		t.Fatalf("numRows: tree %d tape %d", tree.NumRows(), tape.NumRows())
 	}
@@ -96,15 +156,6 @@ func TestBuildTapeMatchesBuild(t *testing.T) {
 		if !bytes.Equal(tree.RawBytes(i), tape.RawBytes(i)) {
 			t.Errorf("raw doc %d differs", i)
 		}
-	}
-	if mTape.DocsTape.Load() != int64(len(tapes)) || mTape.DocsTree.Load() != 0 {
-		t.Errorf("tape metrics: DocsTape=%d DocsTree=%d", mTape.DocsTape.Load(), mTape.DocsTree.Load())
-	}
-	if mTree.DocsTree.Load() != int64(len(docs)) || mTree.DocsTape.Load() != 0 {
-		t.Errorf("tree metrics: DocsTape=%d DocsTree=%d", mTree.DocsTape.Load(), mTree.DocsTree.Load())
-	}
-	if mTape.SubtreesSkipped.Load() == 0 {
-		t.Errorf("expected skipped subtrees with MaxArraySlots=2")
 	}
 }
 

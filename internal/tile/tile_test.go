@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/jsonb"
+	"repro/internal/jsontape"
 	"repro/internal/jsontext"
 	"repro/internal/jsonvalue"
 	"repro/internal/keypath"
@@ -36,8 +37,21 @@ func figure2Tile2(t *testing.T) []jsonvalue.Value {
 
 func build(t *testing.T, cfg Config, ds []jsonvalue.Value) *Tile {
 	t.Helper()
-	b := NewBuilder(cfg, nil)
-	return b.Build(ds)
+	return NewBuilder(cfg, nil).BuildTape(tapesOf(t, ds))
+}
+
+// tapesOf serializes documents and parses them into tapes, the input
+// of BuildTape.
+func tapesOf(t *testing.T, ds []jsonvalue.Value) []*jsontape.Doc {
+	t.Helper()
+	tapes := make([]*jsontape.Doc, len(ds))
+	for i, d := range ds {
+		tapes[i] = &jsontape.Doc{}
+		if err := jsontape.Parse(jsontext.Serialize(d), tapes[i]); err != nil {
+			t.Fatalf("doc %d: %v", i, err)
+		}
+	}
+	return tapes
 }
 
 func TestPaperFigure2Extraction(t *testing.T) {
@@ -342,7 +356,7 @@ func TestMinSupport(t *testing.T) {
 func TestMetricsAccumulate(t *testing.T) {
 	var m Metrics
 	b := NewBuilder(DefaultConfig(), &m)
-	b.Build(figure2Tile2(t))
+	b.BuildTape(tapesOf(t, figure2Tile2(t)))
 	if m.TilesBuilt.Load() != 1 {
 		t.Errorf("tiles built = %d", m.TilesBuilt.Load())
 	}

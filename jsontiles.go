@@ -239,7 +239,9 @@ func New(name string, opts Options) *Table {
 	opts = opts.withDefaults()
 	maybeServeDebug(opts.DebugAddr)
 	m := &tile.Metrics{}
-	return &Table{name: name, opts: opts, rel: storage.BuildTiles(name, nil, opts.loaderConfig(), 1, m), metrics: m}
+	// A load without input cannot fail.
+	rel, _ := storage.BuildTilesFromLines(name, nil, opts.loaderConfig(), 1, m)
+	return &Table{name: name, opts: opts, rel: rel, metrics: m}
 }
 
 // Insert buffers one JSON document. A new tile partition is
@@ -338,10 +340,12 @@ type LoadStats struct {
 	Parse, Mine, Extract, WriteJSONB, Reorder time.Duration
 	// TilesBuilt is the number of tiles materialized.
 	TilesBuilt int64
-	// DocsTape counts documents ingested on the structural-tape path;
-	// DocsTree counts documents that fell back to the boxed
-	// jsonvalue-tree path (DESIGN.md §6.8).
-	DocsTape, DocsTree int64
+	// DocsTape counts documents ingested through the structural tape,
+	// the only ingest path (DESIGN.md §6.8).
+	DocsTape int64
+	// DocsTree is always 0: no document is ingested through a
+	// jsonvalue tree. It is kept for existing readers.
+	DocsTree int64
 	// SubtreesSkipped counts array subtrees skipped (not walked) during
 	// extraction because they lay beyond the MaxArraySlots cap.
 	SubtreesSkipped int64
@@ -349,10 +353,10 @@ type LoadStats struct {
 
 // String renders the breakdown on one line.
 func (s LoadStats) String() string {
-	return fmt.Sprintf("parse %s  mine %s  extract %s  jsonb %s  reorder %s  (%d tiles, %d tape / %d tree docs)",
+	return fmt.Sprintf("parse %s  mine %s  extract %s  jsonb %s  reorder %s  (%d tiles, %d tape docs)",
 		s.Parse.Round(time.Microsecond), s.Mine.Round(time.Microsecond),
 		s.Extract.Round(time.Microsecond), s.WriteJSONB.Round(time.Microsecond),
-		s.Reorder.Round(time.Microsecond), s.TilesBuilt, s.DocsTape, s.DocsTree)
+		s.Reorder.Round(time.Microsecond), s.TilesBuilt, s.DocsTape)
 }
 
 // LoadStats reports the table's cumulative load-time breakdown.
@@ -366,7 +370,6 @@ func (t *Table) LoadStats() LoadStats {
 		Reorder:         time.Duration(snap.ReorderNanos),
 		TilesBuilt:      snap.TilesBuilt,
 		DocsTape:        snap.DocsTape,
-		DocsTree:        snap.DocsTree,
 		SubtreesSkipped: snap.SubtreesSkipped,
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/jsontape"
 )
 
 func opts() Options {
@@ -173,6 +175,28 @@ func TestInsertRejectsMalformed(t *testing.T) {
 	tbl := New("x", opts())
 	if err := tbl.Insert([]byte(`{oops`)); err == nil {
 		t.Error("malformed insert accepted")
+	}
+}
+
+// TestOverLimitDocumentRejected: a document past the structural-tape
+// limits is rejected with the same tape-limit error by Insert and, with
+// its index, by Load.
+func TestOverLimitDocumentRejected(t *testing.T) {
+	restore := jsontape.SetLimitsForTesting(16, 1<<20)
+	defer restore()
+	over := []byte(`{"blob":"far longer than the shrunk span limit"}`)
+	const limitErr = "jsontape: string length exceeds tape limits"
+
+	tbl := New("x", opts())
+	if err := tbl.Insert([]byte(`{"ok":1}`)); err != nil {
+		t.Fatalf("Insert under the limit: %v", err)
+	}
+	if err := tbl.Insert(over); err == nil || err.Error() != limitErr {
+		t.Fatalf("Insert over the limit: error %v, want %q", err, limitErr)
+	}
+	if _, err := Load("x", docs(`{"ok":1}`, `{"ok":2}`, string(over)), opts()); err == nil ||
+		err.Error() != "document 2: "+limitErr {
+		t.Fatalf("Load over the limit: error %v, want %q", err, "document 2: "+limitErr)
 	}
 }
 
