@@ -14,7 +14,11 @@
 // itemsets are produced first, exactly as the paper prescribes).
 package fpgrowth
 
-import "sort"
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
+)
 
 // Itemset is a set of item ids frequent in the mined database.
 type Itemset struct {
@@ -76,6 +80,11 @@ type fpTree struct {
 // item ids (duplicates within a transaction are ignored). Itemsets
 // come out deterministically ordered: ascending size, then
 // lexicographically by items.
+//
+// The FP-tree is built from the distinct transactions (GroupShapes),
+// each inserted once with its multiplicity in first-seen order. Node,
+// child, header and link order are therefore those of a one-by-one
+// build, and so is the output.
 func (m *Miner) Mine(transactions [][]int32) []Itemset {
 	if m.MinSupport < 1 {
 		return nil
@@ -84,16 +93,13 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
+	shapes := GroupShapes(transactions)
 
 	// Pass 1: global item frequencies.
 	freq := map[int32]int{}
-	for _, tx := range transactions {
-		seen := map[int32]bool{}
-		for _, it := range tx {
-			if !seen[it] {
-				seen[it] = true
-				freq[it]++
-			}
+	for si, items := range shapes.Items {
+		for _, it := range items {
+			freq[it] += shapes.Mult[si]
 		}
 	}
 	var frequentItems []int32
@@ -110,7 +116,6 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 
 	// Insertion order: descending frequency, ties by ascending item id
 	// (deterministic trees regardless of map iteration order).
-	rank := make(map[int32]int, len(frequentItems))
 	sort.Slice(frequentItems, func(i, j int) bool {
 		fi, fj := freq[frequentItems[i]], freq[frequentItems[j]]
 		if fi != fj {
@@ -118,26 +123,32 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 		}
 		return frequentItems[i] < frequentItems[j]
 	})
+	rank := make(map[int32]int32, len(frequentItems))
 	for pos, it := range frequentItems {
-		rank[it] = pos
+		rank[it] = int32(pos)
 	}
 
-	// Pass 2: build the FP-tree.
+	// Pass 2: build the FP-tree. Each shape's frequent items are sorted
+	// by rank, then mapped back to item ids.
 	tree := newTree()
-	scratch := make([]int32, 0, 16)
-	for _, tx := range transactions {
-		scratch = scratch[:0]
-		for _, it := range tx {
-			if _, ok := rank[it]; ok {
-				scratch = append(scratch, it)
+	ranks := make([]int32, 0, 16)
+	path := make([]int32, 0, 16)
+	for si, items := range shapes.Items {
+		ranks = ranks[:0]
+		for _, it := range items {
+			if r, ok := rank[it]; ok {
+				ranks = append(ranks, r)
 			}
 		}
-		if len(scratch) == 0 {
+		if len(ranks) == 0 {
 			continue
 		}
-		sort.Slice(scratch, func(i, j int) bool { return rank[scratch[i]] < rank[scratch[j]] })
-		scratch = dedupSorted(scratch)
-		tree.insert(scratch, 1)
+		slices.Sort(ranks)
+		path = path[:0]
+		for _, r := range ranks {
+			path = append(path, frequentItems[r])
+		}
+		tree.insert(path, shapes.Mult[si])
 	}
 
 	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxK}
@@ -145,6 +156,66 @@ func (m *Miner) Mine(transactions [][]int32) []Itemset {
 
 	sort.Slice(st.out, func(i, j int) bool { return lessItemset(st.out[i], st.out[j]) })
 	return st.out
+}
+
+// Shapes groups a transaction list by distinct item set.
+type Shapes struct {
+	// Items holds each distinct transaction once, sorted ascending and
+	// deduplicated, in order of first occurrence.
+	Items [][]int32
+	// Mult[s] is the number of transactions whose item set is Items[s].
+	Mult []int
+	// Of[t] is the index into Items of transaction t.
+	Of []int32
+}
+
+// GroupShapes groups transactions into their distinct sorted item
+// slices. Transactions that are already strictly ascending are shared,
+// not copied; the others are copied, sorted and deduplicated first.
+// Work proportional to distinct shapes instead of transactions is what
+// makes mining and reordering cheap on rigid data: a partition of
+// 8,192 machine-generated records usually has a handful of shapes.
+func GroupShapes(txs [][]int32) Shapes {
+	sh := Shapes{Of: make([]int32, len(txs))}
+	index := map[string]int32{}
+	var key []byte
+	for t, tx := range txs {
+		if !strictlyAscending(tx) {
+			tx = append([]int32(nil), tx...)
+			slices.Sort(tx)
+			tx = dedupSorted(tx)
+		}
+		key = AppendKey(key[:0], tx)
+		si, ok := index[string(key)]
+		if !ok {
+			si = int32(len(sh.Items))
+			index[string(key)] = si
+			sh.Items = append(sh.Items, tx)
+			sh.Mult = append(sh.Mult, 0)
+		}
+		sh.Mult[si]++
+		sh.Of[t] = si
+	}
+	return sh
+}
+
+// AppendKey appends the byte encoding of items to dst: four
+// little-endian bytes per item. Equal item slices have equal keys, so
+// the key can index a map.
+func AppendKey(dst []byte, items []int32) []byte {
+	for _, it := range items {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(it))
+	}
+	return dst
+}
+
+func strictlyAscending(s []int32) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func newTree() *fpTree {
@@ -208,7 +279,7 @@ func (s *mineState) emit(items []int32, count int) bool {
 	}
 	s.generated++
 	sorted := append([]int32(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	s.out = append(s.out, Itemset{Items: sorted, Count: count})
 	return true
 }
@@ -378,22 +449,62 @@ func maxItemsetSize(n, u int) int {
 // Maximal filters sets to those not strictly contained in another
 // frequent set — the tile extractor materializes the union of maximal
 // itemsets (§3.1 step 3).
+//
+// Items are remapped to dense ids so every set becomes a bitset. Sets
+// are visited in size-descending order and tested only against the
+// maximal sets of strictly larger size: a set contained in a
+// non-maximal set is also contained in the maximal set above it, so
+// the result is that of testing against every larger set.
 func Maximal(sets []Itemset) []Itemset {
+	dense := map[int32]int{}
+	for _, s := range sets {
+		for _, it := range s.Items {
+			if _, ok := dense[it]; !ok {
+				dense[it] = len(dense)
+			}
+		}
+	}
+	words := (len(dense) + 63) / 64
+	bits := make([]uint64, len(sets)*words)
+	for i, s := range sets {
+		b := bits[i*words : (i+1)*words]
+		for _, it := range s.Items {
+			d := dense[it]
+			b[d/64] |= 1 << (d % 64)
+		}
+	}
+	bySize := make([]int, len(sets))
+	for i := range bySize {
+		bySize[i] = i
+	}
+	sort.SliceStable(bySize, func(a, b int) bool {
+		return len(sets[bySize[a]].Items) > len(sets[bySize[b]].Items)
+	})
+
 	var out []Itemset
-	for i, a := range sets {
-		maximal := true
-		for j, b := range sets {
-			if i == j || len(a.Items) >= len(b.Items) {
-				continue
+	var larger []int // maximal sets of strictly larger size than the current run
+	for lo := 0; lo < len(bySize); {
+		size := len(sets[bySize[lo]].Items)
+		hi := lo
+		for hi < len(bySize) && len(sets[bySize[hi]].Items) == size {
+			hi++
+		}
+		runStart := len(larger)
+		for _, i := range bySize[lo:hi] {
+			a := bits[i*words : (i+1)*words]
+			maximal := true
+			for _, j := range larger[:runStart] {
+				if bitSubset(a, bits[j*words:(j+1)*words]) {
+					maximal = false
+					break
+				}
 			}
-			if isSubset(a.Items, b.Items) {
-				maximal = false
-				break
+			if maximal {
+				out = append(out, sets[i])
+				larger = append(larger, i)
 			}
 		}
-		if maximal {
-			out = append(out, a)
-		}
+		lo = hi
 	}
 	// Largest, most frequent first: the extraction step unions in
 	// this order.
@@ -409,17 +520,12 @@ func Maximal(sets []Itemset) []Itemset {
 	return out
 }
 
-// isSubset reports a ⊆ b for sorted slices.
-func isSubset(a, b []int32) bool {
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
+// bitSubset reports a ⊆ b for equal-length bitsets.
+func bitSubset(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&^b[w] != 0 {
 			return false
 		}
-		i++
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package fpgrowth
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,130 @@ func bruteForce(transactions [][]int32, minSupport, maxK int) []Itemset {
 	rec(0, nil)
 	sort.Slice(out, func(i, j int) bool { return lessItemset(out[i], out[j]) })
 	return out
+}
+
+// isSubset reports a ⊆ b for sorted slices.
+func isSubset(a, b []int32) bool {
+	i := 0
+	for _, x := range a {
+		for i < len(b) && b[i] < x {
+			i++
+		}
+		if i >= len(b) || b[i] != x {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// maximalNaive is the O(n²) reference for Maximal: test every set
+// against every strictly larger one.
+func maximalNaive(sets []Itemset) []Itemset {
+	var out []Itemset
+	for i, a := range sets {
+		maximal := true
+		for j, b := range sets {
+			if i == j || len(a.Items) >= len(b.Items) {
+				continue
+			}
+			if isSubset(a.Items, b.Items) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i].Items) != len(out[j].Items) {
+			return len(out[i].Items) > len(out[j].Items)
+		}
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return lessItems(out[i].Items, out[j].Items)
+	})
+	return out
+}
+
+// mineOneByOne is the reference for Mine's tree build: every
+// transaction is rank-sorted and inserted on its own with count 1.
+func mineOneByOne(m Miner, transactions [][]int32) []Itemset {
+	budget := m.Budget
+	if budget <= 0 {
+		budget = DefaultBudget
+	}
+	freq := map[int32]int{}
+	for _, tx := range transactions {
+		seen := map[int32]bool{}
+		for _, it := range tx {
+			if !seen[it] {
+				seen[it] = true
+				freq[it]++
+			}
+		}
+	}
+	var frequentItems []int32
+	for it, c := range freq {
+		if c >= m.MinSupport {
+			frequentItems = append(frequentItems, it)
+		}
+	}
+	if len(frequentItems) == 0 {
+		return nil
+	}
+	maxK := maxItemsetSize(len(frequentItems), budget)
+	sort.Slice(frequentItems, func(i, j int) bool {
+		fi, fj := freq[frequentItems[i]], freq[frequentItems[j]]
+		if fi != fj {
+			return fi > fj
+		}
+		return frequentItems[i] < frequentItems[j]
+	})
+	rank := map[int32]int{}
+	for pos, it := range frequentItems {
+		rank[it] = pos
+	}
+	tree := newTree()
+	for _, tx := range transactions {
+		var path []int32
+		for _, it := range tx {
+			if _, ok := rank[it]; ok {
+				path = append(path, it)
+			}
+		}
+		if len(path) == 0 {
+			continue
+		}
+		sort.Slice(path, func(i, j int) bool { return rank[path[i]] < rank[path[j]] })
+		tree.insert(dedupSorted(path), 1)
+	}
+	st := &mineState{minSupport: m.MinSupport, budget: budget, maxK: maxK}
+	st.mine(tree, nil)
+	sort.Slice(st.out, func(i, j int) bool { return lessItemset(st.out[i], st.out[j]) })
+	return st.out
+}
+
+// repetitive draws n transactions from a pool of few distinct shapes,
+// in random order and with random item order and duplicates, so most
+// transactions repeat an earlier one.
+func repetitive(r *rand.Rand, n, shapes, nItems int) [][]int32 {
+	pool := make([][]int32, shapes)
+	for i := range pool {
+		k := 1 + r.Intn(nItems)
+		for j := 0; j < k; j++ {
+			pool[i] = append(pool[i], int32(r.Intn(nItems)))
+		}
+	}
+	tx := make([][]int32, n)
+	for i := range tx {
+		p := pool[r.Intn(len(pool))]
+		tx[i] = append([]int32(nil), p...)
+		r.Shuffle(len(tx[i]), func(a, b int) { tx[i][a], tx[i][b] = tx[i][b], tx[i][a] })
+	}
+	return tx
 }
 
 func TestPaperRunningExample(t *testing.T) {
@@ -152,6 +277,66 @@ func TestAgainstBruteForce(t *testing.T) {
 				trial, minSupport, tx, got, want)
 		}
 	}
+	// Transaction lists where most entries repeat an earlier one: the
+	// tree is built per distinct transaction with its multiplicity.
+	for trial := 0; trial < 50; trial++ {
+		nItems := 2 + r.Intn(6)
+		nTx := 20 + r.Intn(60)
+		tx := repetitive(r, nTx, 1+r.Intn(4), nItems)
+		minSupport := 1 + r.Intn(nTx/2+1)
+		m := Miner{MinSupport: minSupport, Budget: 1 << 20}
+		got := m.Mine(tx)
+		want := bruteForce(tx, minSupport, nItems)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("repetitive trial %d (minSupport=%d, tx=%v):\ngot  %v\nwant %v",
+				trial, minSupport, tx, got, want)
+		}
+	}
+}
+
+// TestMineMatchesOneByOne checks the grouped tree build against one
+// insert per transaction under tight budgets, where the output depends
+// on node and header-link order, not just on the itemset lattice.
+func TestMineMatchesOneByOne(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		nItems := 2 + r.Intn(14)
+		nTx := 10 + r.Intn(200)
+		var tx [][]int32
+		if trial%2 == 0 {
+			tx = repetitive(r, nTx, 1+r.Intn(8), nItems)
+		} else {
+			tx = repetitive(r, nTx, nTx, nItems) // mostly unique shapes
+		}
+		m := Miner{MinSupport: 1 + r.Intn(nTx/3+1), Budget: 1 + r.Intn(200)}
+		got, want := m.Mine(tx), mineOneByOne(m, tx)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (miner %+v):\ngot  %v\nwant %v", trial, m, got, want)
+		}
+	}
+}
+
+func TestGroupShapes(t *testing.T) {
+	tx := [][]int32{{3, 1}, {1, 3}, {2}, {1, 1, 3}, nil, {2}, {}}
+	sh := GroupShapes(tx)
+	wantItems := [][]int32{{1, 3}, {2}, nil}
+	if len(sh.Items) != len(wantItems) {
+		t.Fatalf("shapes = %v", sh.Items)
+	}
+	for i, w := range wantItems {
+		if !slices.Equal(sh.Items[i], w) {
+			t.Errorf("shape %d = %v, want %v", i, sh.Items[i], w)
+		}
+	}
+	if want := []int{3, 2, 2}; !slices.Equal(sh.Mult, want) {
+		t.Errorf("mult = %v, want %v", sh.Mult, want)
+	}
+	if want := []int32{0, 0, 1, 0, 2, 1, 2}; !slices.Equal(sh.Of, want) {
+		t.Errorf("of = %v, want %v", sh.Of, want)
+	}
+	if !slices.Equal(tx[0], []int32{3, 1}) {
+		t.Errorf("input transaction modified: %v", tx[0])
+	}
 }
 
 func TestBudgetBoundsOutput(t *testing.T) {
@@ -218,6 +403,39 @@ func TestMaximal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(max[1].Items, []int32{3}) {
 		t.Errorf("second maximal = %v, want {3}", max[1].Items)
+	}
+}
+
+// TestMaximalMatchesNaive compares the bitset sweep with the O(n²)
+// reference on shuffled Mine outputs over up to 200 distinct items, so
+// bitsets span several words.
+func TestMaximalMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		nItems := 2 + r.Intn(200)
+		base := int32(r.Intn(1000))
+		tx := repetitive(r, 20+r.Intn(80), 1+r.Intn(20), nItems)
+		for _, t := range tx {
+			for i := range t {
+				t[i] += base
+			}
+		}
+		m := Miner{MinSupport: 1 + r.Intn(5), Budget: 1 + r.Intn(3000)}
+		sets := m.Mine(tx)
+		r.Shuffle(len(sets), func(a, b int) { sets[a], sets[b] = sets[b], sets[a] })
+		if got, want := Maximal(sets), maximalNaive(sets); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d:\ngot  %v\nwant %v", trial, got, want)
+		}
+	}
+	// Duplicate item sets with different counts are equal in size, so
+	// neither removes the other.
+	dup := []Itemset{
+		{Items: []int32{1, 2}, Count: 3},
+		{Items: []int32{1}, Count: 4},
+		{Items: []int32{1, 2}, Count: 5},
+	}
+	if got, want := Maximal(dup), maximalNaive(dup); !reflect.DeepEqual(got, want) {
+		t.Fatalf("duplicates:\ngot  %v\nwant %v", got, want)
 	}
 }
 
@@ -303,5 +521,42 @@ func TestQuickCountsAreExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// benchSets keeps benchmark results alive.
+var benchSets []Itemset
+
+// BenchmarkMine mines one 16-key tile of 8,192 identical records, the
+// shape of a TPC-H lineitem tile, at the default budget.
+func BenchmarkMine(b *testing.B) {
+	tx := make([][]int32, 8192)
+	for i := range tx {
+		for j := int32(0); j < 16; j++ {
+			tx[i] = append(tx[i], j)
+		}
+	}
+	m := Miner{MinSupport: 4916}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSets = m.Mine(tx)
+	}
+}
+
+// BenchmarkMaximal filters the 2,516 itemsets mined from that tile
+// down to its 1,820 maximal 4-sets.
+func BenchmarkMaximal(b *testing.B) {
+	tx := make([][]int32, 64)
+	for i := range tx {
+		for j := int32(0); j < 16; j++ {
+			tx[i] = append(tx[i], j)
+		}
+	}
+	sets := (&Miner{MinSupport: 1}).Mine(tx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSets = Maximal(sets)
 	}
 }

@@ -89,13 +89,19 @@ func effectiveTileSize(cfg tile.Config) int {
 	return tile.DefaultConfig().TileSize
 }
 
-// computeOrder runs steps 1-4 over the collected transactions and
+// computeOrder runs steps 1-5 over the collected transactions and
 // returns the tuple permutation (nil when nothing survives filtering)
 // plus the partial Result (Moved is filled in by the caller).
+//
+// Steps 2 and 3 work per distinct key-path shape, not per tuple: a
+// partition of rigid records has a handful of shapes, so counting and
+// matching cost shapes × itemsets instead of tuples × itemsets. Every
+// tuple of a shape matches the same itemset, so fanning the shape's
+// match out through the shape index gives the per-tuple result.
 func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) {
 	// Step 1: per-tile mining with the reduced threshold.
 	reduced := cfg.Threshold / float64(cfg.PartitionSize)
-	var candidates []fpgrowth.Itemset
+	var candidates [][]int32
 	for lo := 0; lo < len(txs); lo += tileSize {
 		hi := lo + tileSize
 		if hi > len(txs) {
@@ -106,34 +112,28 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 			support = 1
 		}
 		miner := fpgrowth.Miner{MinSupport: support, Budget: cfg.Budget}
-		sets := miner.Mine(txs[lo:hi])
-		candidates = append(candidates, fpgrowth.Maximal(sets)...)
+		for _, s := range fpgrowth.Maximal(miner.Mine(txs[lo:hi])) {
+			candidates = append(candidates, s.Items)
+		}
 	}
 
 	// Step 2: exchange and filter. Deduplicate the candidates, then
-	// count each one's exact partition-wide frequency; survivors need
+	// count each one's exact partition-wide frequency as the summed
+	// multiplicity of the shapes containing it; survivors need
 	// threshold × tileSize matches.
-	seen := map[string]bool{}
-	var unique []fpgrowth.Itemset
-	for _, s := range candidates {
-		k := itemsKey(s.Items)
-		if !seen[k] {
-			seen[k] = true
-			unique = append(unique, s)
-		}
-	}
+	shapes := fpgrowth.GroupShapes(txs)
 	need := int(math.Ceil(cfg.Threshold * float64(tileSize)))
-	var survivors []fpgrowth.Itemset
-	for _, s := range unique {
+	var survivors []survivor
+	for _, items := range fpgrowth.GroupShapes(candidates).Items {
 		count := 0
-		for _, tx := range txs {
-			if containsAll(tx, s.Items) {
-				count++
+		for si, shape := range shapes.Items {
+			if containsAll(shape, items) {
+				count += shapes.Mult[si]
 			}
 		}
 		if count >= need {
-			s.Count = count
-			survivors = append(survivors, s)
+			survivors = append(survivors, survivor{items: items, count: count,
+				key: itemsKey(items), sum: itemSum(items)})
 		}
 	}
 	if len(survivors) == 0 {
@@ -142,57 +142,69 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 	// Deterministic survivor order: size desc, count desc, items asc.
 	sort.Slice(survivors, func(i, j int) bool {
 		a, b := survivors[i], survivors[j]
-		if len(a.Items) != len(b.Items) {
-			return len(a.Items) > len(b.Items)
+		if len(a.items) != len(b.items) {
+			return len(a.items) > len(b.items)
 		}
-		if a.Count != b.Count {
-			return a.Count > b.Count
+		if a.count != b.count {
+			return a.count > b.count
 		}
-		return itemsKey(a.Items) < itemsKey(b.Items)
+		return a.key < b.key
 	})
 
-	// Step 3: match each tuple to its best itemset.
-	matchOf := make([]int, len(txs)) // survivor index, -1 = unmatched
-	matched := 0
-	for i, tx := range txs {
-		matchOf[i] = -1
+	// Step 3: match each shape to its best itemset (most items in
+	// common, then largest, then minimal item-id sum), then every tuple
+	// to its shape's match.
+	shapeMatch := make([]int, len(shapes.Items)) // survivor index, -1 = unmatched
+	for shi, shape := range shapes.Items {
+		shapeMatch[shi] = -1
 		bestOverlap, bestSize := 0, 0
 		bestSum := int64(math.MaxInt64)
 		for si, s := range survivors {
-			ov := fpgrowth.Overlap(s.Items, tx)
+			ov := fpgrowth.Overlap(s.items, shape)
 			if ov == 0 {
 				continue
 			}
-			sum := itemSum(s.Items)
 			better := false
 			switch {
 			case ov > bestOverlap:
 				better = true
-			case ov == bestOverlap && len(s.Items) > bestSize:
+			case ov == bestOverlap && len(s.items) > bestSize:
 				better = true
-			case ov == bestOverlap && len(s.Items) == bestSize && sum < bestSum:
+			case ov == bestOverlap && len(s.items) == bestSize && s.sum < bestSum:
 				better = true
 			}
 			if better {
-				bestOverlap, bestSize, bestSum = ov, len(s.Items), sum
-				matchOf[i] = si
+				bestOverlap, bestSize, bestSum = ov, len(s.items), s.sum
+				shapeMatch[shi] = si
 			}
 		}
+	}
+	matchOf := make([]int, len(txs))
+	matched := 0
+	for i, shi := range shapes.Of {
+		matchOf[i] = shapeMatch[shi]
 		if matchOf[i] >= 0 {
 			matched++
 		}
 	}
 
-	// Step 4+5: group tuples by matched itemset and map groups to
-	// tiles greedily so each tile reaches the original threshold where
-	// possible. Every tile is anchored by the largest remaining group;
-	// leftover space is filled from unmatched tuples and the smallest
-	// groups (which could not have filled a tile anyway), so large
-	// groups are never diluted across tile boundaries — plain
-	// contiguous packing would create boundary tiles where two groups
-	// both miss the threshold. Within a group the original order is
-	// kept (stable clustering preserves existing locality).
-	groups := make([][]int, len(survivors))
+	order := packTiles(matchOf, len(survivors), tileSize)
+	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}
+}
+
+// packTiles runs steps 4 and 5 and returns the tuple permutation.
+// matchOf[i] is tuple i's itemset index, -1 for none.
+func packTiles(matchOf []int, numItemsets, tileSize int) []int {
+	// Group tuples by matched itemset and map groups to tiles greedily
+	// so each tile reaches the original threshold where possible.
+	// Every tile is anchored by the largest remaining group; leftover
+	// space is filled from unmatched tuples and the smallest groups
+	// (which could not have filled a tile anyway), so large groups are
+	// never diluted across tile boundaries — plain contiguous packing
+	// would create boundary tiles where two groups both miss the
+	// threshold. Within a group the original order is kept (stable
+	// clustering preserves existing locality).
+	groups := make([][]int, numItemsets)
 	var unmatched []int
 	for i, si := range matchOf {
 		if si < 0 {
@@ -218,11 +230,11 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 	}
 	pools = append(pools, unmatched)
 
-	order := make([]int, 0, len(txs))
+	order := make([]int, 0, len(matchOf))
 	head, tail := 0, len(pools)-1
-	for len(order) < len(txs) {
+	for len(order) < len(matchOf) {
 		space := tileSize
-		if remaining := len(txs) - len(order); remaining < space {
+		if remaining := len(matchOf) - len(order); remaining < space {
 			space = remaining
 		}
 		// Anchor: the largest remaining group.
@@ -260,15 +272,23 @@ func computeOrder(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) 
 		}
 	}
 
-	return order, Result{SurvivingItemsets: len(survivors), Matched: matched}
+	return order
 }
 
+// survivor is a partition-wide frequent itemset (step 2) with its
+// exact partition count, sort key and item-id sum precomputed for
+// steps 2 and 3.
+type survivor struct {
+	items []int32
+	count int
+	key   string
+	sum   int64
+}
+
+// itemsKey orders survivors with equal size and count (step 2's
+// deterministic tie-break).
 func itemsKey(items []int32) string {
-	b := make([]byte, 0, len(items)*4)
-	for _, it := range items {
-		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
-	}
-	return string(b)
+	return string(fpgrowth.AppendKey(nil, items))
 }
 
 func itemSum(items []int32) int64 {

@@ -2,9 +2,13 @@ package reorder
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/fpgrowth"
 	"repro/internal/jsontape"
 	"repro/internal/keypath"
 	"repro/internal/tile"
@@ -238,5 +242,137 @@ func TestSharedKeyPathsAcrossStructures(t *testing.T) {
 		if tl.FindColumn("id", keypath.TypeBigInt) < 0 {
 			t.Errorf("tile at %d lost shared path id", lo)
 		}
+	}
+}
+
+// computeOrderPerTuple is the reference for computeOrder: steps 2 and
+// 3 count and match every tuple against every itemset, as §3.2 states
+// them.
+func computeOrderPerTuple(txs [][]int32, cfg tile.Config, tileSize int) ([]int, Result) {
+	reduced := cfg.Threshold / float64(cfg.PartitionSize)
+	var candidates []fpgrowth.Itemset
+	for lo := 0; lo < len(txs); lo += tileSize {
+		hi := min(lo+tileSize, len(txs))
+		support := max(int(math.Ceil(reduced*float64(hi-lo))), 1)
+		miner := fpgrowth.Miner{MinSupport: support, Budget: cfg.Budget}
+		candidates = append(candidates, fpgrowth.Maximal(miner.Mine(txs[lo:hi]))...)
+	}
+
+	seen := map[string]bool{}
+	var unique []fpgrowth.Itemset
+	for _, s := range candidates {
+		if k := itemsKey(s.Items); !seen[k] {
+			seen[k] = true
+			unique = append(unique, s)
+		}
+	}
+	need := int(math.Ceil(cfg.Threshold * float64(tileSize)))
+	var survivors []fpgrowth.Itemset
+	for _, s := range unique {
+		count := 0
+		for _, tx := range txs {
+			if containsAll(tx, s.Items) {
+				count++
+			}
+		}
+		if count >= need {
+			s.Count = count
+			survivors = append(survivors, s)
+		}
+	}
+	if len(survivors) == 0 {
+		return nil, Result{}
+	}
+	sort.Slice(survivors, func(i, j int) bool {
+		a, b := survivors[i], survivors[j]
+		if len(a.Items) != len(b.Items) {
+			return len(a.Items) > len(b.Items)
+		}
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		return itemsKey(a.Items) < itemsKey(b.Items)
+	})
+
+	matchOf := make([]int, len(txs))
+	matched := 0
+	for i, tx := range txs {
+		matchOf[i] = -1
+		bestOverlap, bestSize := 0, 0
+		bestSum := int64(math.MaxInt64)
+		for si, s := range survivors {
+			ov := fpgrowth.Overlap(s.Items, tx)
+			if ov == 0 {
+				continue
+			}
+			sum := itemSum(s.Items)
+			if ov > bestOverlap ||
+				ov == bestOverlap && len(s.Items) > bestSize ||
+				ov == bestOverlap && len(s.Items) == bestSize && sum < bestSum {
+				bestOverlap, bestSize, bestSum = ov, len(s.Items), sum
+				matchOf[i] = si
+			}
+		}
+		if matchOf[i] >= 0 {
+			matched++
+		}
+	}
+	return packTiles(matchOf, len(survivors), tileSize),
+		Result{SurvivingItemsets: len(survivors), Matched: matched}
+}
+
+// randomPartition draws n sorted, deduplicated transactions. With few
+// shapes most tuples repeat an earlier structure; with shapes ≥ n
+// nearly every tuple is unique. Item ids start at base, so they can
+// all be 64 or more.
+func randomPartition(r *rand.Rand, n, shapes, nItems int, base int32) [][]int32 {
+	pool := make([][]int32, shapes)
+	for i := range pool {
+		seen := map[int32]bool{}
+		for j := 0; j < 1+r.Intn(nItems); j++ {
+			seen[base+int32(r.Intn(nItems))] = true
+		}
+		for it := range seen {
+			pool[i] = append(pool[i], it)
+		}
+		sort.Slice(pool[i], func(a, b int) bool { return pool[i][a] < pool[i][b] })
+	}
+	txs := make([][]int32, n)
+	for i := range txs {
+		txs[i] = append([]int32(nil), pool[r.Intn(shapes)]...)
+	}
+	return txs
+}
+
+func TestComputeOrderMatchesPerTuple(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	trials := 0
+	for _, tileSize := range []int{16, 64} {
+		for _, partSize := range []int{2, 8} {
+			for trial := 0; trial < 40; trial++ {
+				c := cfg(tileSize, partSize)
+				// Full partitions and a short last partition.
+				n := tileSize*partSize - r.Intn(tileSize*partSize/2)*(trial%2)
+				shapes := []int{1, 2, 4, 12, n}[trial%5]
+				nItems := 3 + r.Intn(20)
+				base := int32(0)
+				if trial%3 == 0 {
+					base = 64 + int32(r.Intn(200))
+				}
+				txs := randomPartition(r, n, shapes, nItems, base)
+				gotOrder, gotRes := computeOrder(txs, c, tileSize)
+				wantOrder, wantRes := computeOrderPerTuple(txs, c, tileSize)
+				if !reflect.DeepEqual(gotOrder, wantOrder) || gotRes != wantRes {
+					t.Fatalf("tile %d partition %d trial %d (n=%d shapes=%d): got %+v, want %+v",
+						tileSize, partSize, trial, n, shapes, gotRes, wantRes)
+				}
+				if wantRes.SurvivingItemsets > 0 {
+					trials++
+				}
+			}
+		}
+	}
+	if trials < 40 {
+		t.Fatalf("only %d trials had surviving itemsets; generator too sparse", trials)
 	}
 }

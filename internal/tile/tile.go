@@ -74,7 +74,9 @@ func (c Config) MinSupport(n int) int {
 
 // Metrics accumulates loading-time breakdowns (Figure 16). Fields are
 // atomically updated nanosecond counters so parallel loaders can share
-// one Metrics.
+// one Metrics. MineNanos covers BuildTape's key-path collection and
+// mining only; the reduced-threshold mining of partition reordering
+// counts towards ReorderNanos.
 type Metrics struct {
 	ParseNanos      atomic.Int64
 	MineNanos       atomic.Int64

@@ -334,9 +334,12 @@ func (t *Table) Recompute() int {
 // (paper Figure 16), accumulated over every Load/Insert/Flush into
 // this table.
 type LoadStats struct {
-	// Parse is JSON text parsing; Mine is frequent-structure mining
-	// (§3.1); Extract is column materialization; WriteJSONB is binary
-	// JSON encoding (§4.5); Reorder is tuple clustering (§3.2).
+	// Parse is JSON text parsing. Mine is the final per-tile key-path
+	// collection and frequent-structure mining (§3.1, step 6 of §3.2)
+	// only. Extract is column materialization; WriteJSONB is binary
+	// JSON encoding (§4.5). Reorder is tuple clustering (§3.2 steps
+	// 1–5), which includes step 1's reduced-threshold mining of every
+	// tile in the partition.
 	Parse, Mine, Extract, WriteJSONB, Reorder time.Duration
 	// TilesBuilt is the number of tiles materialized.
 	TilesBuilt int64
